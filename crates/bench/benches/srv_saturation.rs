@@ -1,8 +1,8 @@
 //! Saturation throughput of the staged work-stealing scheduler: the
 //! §P5 warm sweep — 50 network configs over one already-captured
 //! workload — driven end-to-end through the pooled `sctm-client`
-//! crate over real TCP, against the serial batch scheduler and the
-//! steal scheduler at 1, 4 and 8 workers.
+//! crate over real TCP, with the steal scheduler at 1, 4 and 8
+//! workers.
 //!
 //! The sweep is warm (one shared capture, 50 replays), so the bench
 //! measures exactly what the scheduler changes: how many independent
@@ -13,7 +13,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sctm_client::{Client, ClientOptions};
-use sctm_srv::{serve_tcp, SchedMode, Server, ServerConfig};
+use sctm_srv::{serve_tcp, Server, ServerConfig};
 
 const NETS: [&str; 5] = ["emesh", "omesh", "oxbar", "hybrid", "obus"];
 const DAMPINGS: [&str; 5] = ["0.4", "0.6", "0.8", "0.9", "1.0"];
@@ -38,11 +38,10 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn boot(sched: SchedMode, workers: usize) -> Daemon {
+    fn boot(workers: usize) -> Daemon {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().unwrap().to_string();
         let server = Server::start(ServerConfig {
-            sched,
             workers,
             queue_cap: 64,
             ..ServerConfig::default()
@@ -86,16 +85,15 @@ impl Drop for Daemon {
 fn bench_saturation(c: &mut Criterion) {
     let lines = sweep_lines();
     let mut g = c.benchmark_group("srv_saturation_warm50");
-    let mut cases: Vec<(String, SchedMode, usize)> = vec![("batch".into(), SchedMode::Batch, 0)];
     for workers in [1usize, 4, 8] {
-        cases.push((format!("steal_w{workers}"), SchedMode::WorkSteal, workers));
-    }
-    for (label, sched, workers) in cases {
-        g.bench_function(BenchmarkId::from_parameter(label), |b| {
-            let daemon = Daemon::boot(sched, workers);
-            daemon.sweep(&lines); // prime the capture cache
-            b.iter(|| black_box(daemon.sweep(&lines)))
-        });
+        g.bench_function(
+            BenchmarkId::from_parameter(format!("steal_w{workers}")),
+            |b| {
+                let daemon = Daemon::boot(workers);
+                daemon.sweep(&lines); // prime the capture cache
+                b.iter(|| black_box(daemon.sweep(&lines)))
+            },
+        );
     }
     g.finish();
 }

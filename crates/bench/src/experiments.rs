@@ -21,8 +21,8 @@ fn go(e: &Experiment, spec: &RunSpec) -> RunReport {
 }
 
 /// Replay `log` once in the given mode; with `wall0`, fold the shared
-/// capture's wall time into the report (the old `run_with_trace`
-/// contract the tables were written against).
+/// capture's wall time into the report (the contract the tables were
+/// written against).
 fn replay(
     e: &Experiment,
     log: &TraceLog,

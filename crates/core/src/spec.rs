@@ -5,8 +5,7 @@
 //! knobs, and whether to keep profiling artefacts. It is the request
 //! vocabulary shared by every caller — the examples, the bench harness
 //! and the `sctmd` batch service all speak `RunSpec` and get a
-//! [`RunOutcome`] back — replacing the old fan of `Experiment::run_*`
-//! entry points (kept as deprecated wrappers).
+//! [`RunOutcome`] back.
 
 use crate::error::SctmError;
 use crate::metrics::RunReport;
@@ -33,9 +32,8 @@ pub struct RunSpec {
     /// Trace modes only: perform a *single* replay of the trace (the
     /// seeded one, or a fresh capture) instead of the full re-capture
     /// loop. For [`Mode::SelfCorrection`] this is one self-correcting
-    /// gated pass — the old `run_with_trace` semantics; for the other
-    /// trace modes a single replay is all there ever is, so the flag is
-    /// implied.
+    /// gated pass; for the other trace modes a single replay is all
+    /// there ever is, so the flag is implied.
     pub replay_only: bool,
     /// Override of [`crate::Experiment::incremental`] for this run:
     /// whether [`Mode::SelfCorrection`] reuses replay work across

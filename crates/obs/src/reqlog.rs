@@ -137,8 +137,8 @@ impl RequestLog {
 
 /// Render one structured log event as a single JSON line. Fields are
 /// `(key, value)` pairs with values already JSON-rendered (callers use
-/// [`crate::json_escape`] for strings); ordering is preserved as given
-/// so logs diff cleanly.
+/// [`quoted`] for strings); ordering is preserved as given so logs diff
+/// cleanly.
 pub fn json_line(fields: &[(&str, String)]) -> String {
     let mut out = String::with_capacity(64);
     out.push('{');
@@ -153,6 +153,11 @@ pub fn json_line(fields: &[(&str, String)]) -> String {
     }
     out.push('}');
     out
+}
+
+/// A string as a [`json_line`] value: escaped and quoted.
+pub fn quoted(s: &str) -> String {
+    format!("\"{}\"", crate::json_escape(s))
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //! fingerprint travels with the numbers so a comparison across
 //! different hardware can be flagged instead of trusted.
 
-use crate::json::{escape, parse, Json};
+use crate::json::{parse, Json};
+use sctm_obs::json_escape;
 use std::fmt::Write as _;
 
 /// Schema identifier; bump on any incompatible change.
@@ -68,12 +69,12 @@ impl BenchFile {
 
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{}\",", escape(&self.schema));
+        let _ = writeln!(out, "  \"schema\": \"{}\",", json_escape(&self.schema));
         let _ = writeln!(
             out,
             "  \"machine\": {{\"os\": \"{}\", \"arch\": \"{}\", \"threads\": {}}},",
-            escape(&self.machine.os),
-            escape(&self.machine.arch),
+            json_escape(&self.machine.os),
+            json_escape(&self.machine.arch),
             self.machine.threads
         );
         out.push_str("  \"benches\": [");
@@ -84,7 +85,7 @@ impl BenchFile {
             let _ = write!(
                 out,
                 "\n    {{\"id\": \"{}\", \"samples\": {}, \"min_ns\": {}, \"p25_ns\": {}, \"median_ns\": {}, \"p75_ns\": {}, \"max_ns\": {}}}",
-                escape(&b.id),
+                json_escape(&b.id),
                 b.samples,
                 num(b.min_ns),
                 num(b.p25_ns),

@@ -1,5 +1,5 @@
-//! A minimal recursive-descent JSON parser (and the matching string
-//! escaper) for the bench-JSON toolchain.
+//! A minimal recursive-descent JSON parser for the bench-JSON
+//! toolchain (strings are escaped with `sctm_obs::json_escape`).
 //!
 //! The workspace builds offline — no serde — and `benchcmp` must read
 //! files written by three different emitters (the criterion shim,
@@ -57,23 +57,6 @@ impl Json {
             _ => None,
         }
     }
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Parse a complete JSON document.
@@ -284,7 +267,7 @@ mod tests {
     #[test]
     fn escape_roundtrips_through_parse() {
         let original = "line1\nline2\t\"quoted\" back\\slash \u{1} ünïcödé";
-        let doc = format!("{{\"k\": \"{}\"}}", escape(original));
+        let doc = format!("{{\"k\": \"{}\"}}", sctm_obs::json_escape(original));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some(original));
     }

@@ -1,19 +1,19 @@
-//! `sctmd` — the SCTM batch simulation daemon.
+//! `sctmd` — the SCTM simulation daemon.
 //!
 //! ```text
 //! sctmd --stdin                      # serve requests from stdin (CI mode)
 //! sctmd --listen 127.0.0.1:4710     # serve the line protocol over TCP
 //! sctmd --stdin --cache-mb 64 --queue 32 --timeout-ms 10000
 //! sctmd --listen 127.0.0.1:4710 --log-dir /var/log/sctmd
-//! sctmd --listen 127.0.0.1:4710 --workers 8 --sched steal
+//! sctmd --listen 127.0.0.1:4710 --workers 8
 //! sctmd --listen 127.0.0.1:4711 \
 //!       --peers 127.0.0.1:4710,127.0.0.1:4711   # shard the capture cache
 //! ```
 //!
-//! Scheduling: `--sched steal` (default) pipelines each request's
-//! probe → capture → replay → render stages across a work-stealing
-//! pool of `--workers` threads (default `SCTM_THREADS`, else all
-//! cores); `--sched batch` restores the original serial batch cycle.
+//! Scheduling: each request's probe → capture → replay → render
+//! stages pipeline across a work-stealing pool of `--workers` threads
+//! (default `SCTM_THREADS`, else all cores). Every reply is written
+//! and flushed as soon as it is ready, in request order.
 //! Shard mode: `--peers` lists every instance's *listen* address
 //! (comma-separated, including this one — matched against `--listen`,
 //! or set explicitly with `--shard-self`); capture misses on keys
@@ -28,10 +28,9 @@
 //! conventions) per-request lifecycle records are appended to
 //! `DIR/sctmd.log.jsonl` with size-based rotation.
 
-use sctm_obs::json_escape;
-use sctm_obs::reqlog::{json_line, RequestLog};
+use sctm_obs::reqlog::{json_line, quoted, RequestLog};
 use sctm_srv::shard::ShardRing;
-use sctm_srv::{serve_lines, serve_tcp, SchedMode, Server, ServerConfig, Shard};
+use sctm_srv::{serve_lines, serve_tcp, Server, ServerConfig, Shard};
 use std::sync::Arc;
 
 /// One structured daemon event on stderr: `{"ts_ms":…,"event":"…",…}`.
@@ -40,16 +39,9 @@ fn log_stderr(event: &str, extra: &[(&str, String)]) {
         .duration_since(std::time::SystemTime::UNIX_EPOCH)
         .map(|d| d.as_millis())
         .unwrap_or(0);
-    let mut fields: Vec<(&str, String)> = vec![
-        ("ts_ms", ts.to_string()),
-        ("event", format!("\"{}\"", json_escape(event))),
-    ];
+    let mut fields: Vec<(&str, String)> = vec![("ts_ms", ts.to_string()), ("event", quoted(event))];
     fields.extend(extra.iter().map(|(k, v)| (*k, v.clone())));
     eprintln!("{}", json_line(&fields));
-}
-
-fn quoted(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
 }
 
 fn usage() -> ! {
@@ -60,7 +52,6 @@ fn usage() -> ! {
             quoted(
                 "sctmd (--stdin | --listen ADDR) [--cache-mb N] [--queue N] \
                  [--timeout-ms N] [--log-dir DIR] [--workers N] \
-                 [--sched steal|batch] [--read-timeout-ms N] \
                  [--peers A,B,...] [--shard-self ADDR]",
             ),
         )],
@@ -78,12 +69,6 @@ fn main() {
     let mut peers: Vec<String> = Vec::new();
     let mut shard_self: Option<String> = None;
     let mut cfg = ServerConfig::default();
-    if let Some(ms) = std::env::var("SCTM_READ_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-    {
-        cfg.read_timeout_ms = ms;
-    }
 
     let mut i = 0;
     let num = |args: &[String], i: &mut usize| -> u64 {
@@ -102,16 +87,7 @@ fn main() {
             "--cache-mb" => cfg.cache_bytes = (num(&args, &mut i) as usize) << 20,
             "--queue" => cfg.queue_cap = num(&args, &mut i) as usize,
             "--timeout-ms" => cfg.default_timeout_ms = num(&args, &mut i),
-            "--read-timeout-ms" => cfg.read_timeout_ms = num(&args, &mut i),
             "--workers" => cfg.workers = num(&args, &mut i) as usize,
-            "--sched" => {
-                i += 1;
-                cfg.sched = match args.get(i).map(String::as_str) {
-                    Some("steal") => SchedMode::WorkSteal,
-                    Some("batch") => SchedMode::Batch,
-                    _ => usage(),
-                };
-            }
             "--peers" => {
                 i += 1;
                 peers = args
@@ -194,9 +170,9 @@ fn main() {
 
     let server = Server::start_sharded(cfg, shard, log);
     if stdin_mode {
-        let stdin = std::io::stdin();
-        let mut stdout = std::io::stdout().lock();
-        let res = serve_lines(stdin.lock(), &mut stdout, &server);
+        // `Stdout`, not its lock: the reply writer runs on its own
+        // thread, and a `StdoutLock` cannot move there.
+        let res = serve_lines(std::io::stdin().lock(), &mut std::io::stdout(), &server);
         server.drain();
         if let Err(e) = res {
             log_stderr("error", &[("message", quoted(&e.to_string()))]);

@@ -1,4 +1,4 @@
-//! # sctm-srv — the `sctmd` batch simulation service
+//! # sctm-srv — the `sctmd` simulation service
 //!
 //! A long-running, std-only front-end for the SCTM simulator: clients
 //! send newline-delimited requests (over TCP, or over stdin for CI
@@ -14,9 +14,11 @@
 //! configurations over one workload therefore costs one capture plus
 //! fifty replays, and the cache counters in every response prove it.
 //!
-//! Scheduling rides the workspace's deterministic worker pool
-//! (`sctm_engine::par::par_map`): a batch of queued requests runs in
-//! parallel yet answers bit-identically to serial execution. The
+//! Scheduling rides the workspace's work-stealing pool
+//! (`sctm_engine::par::WorkStealPool`): each request runs as probe →
+//! capture → replay → render stages, in parallel with its neighbours,
+//! yet answers bit-identically to a direct library call, and every
+//! reply streams back in request order as soon as it is ready. The
 //! request queue is bounded with explicit backpressure (`busy` +
 //! `retry_after_ms`), each request has a queue deadline, and shutdown
 //! drains gracefully.
@@ -38,5 +40,5 @@ pub use cache::{CacheStats, CaptureCache, CaptureKey};
 pub use proto::{
     parse_fwd_response, parse_request, result_json, CacheOutcome, FwdRequest, Request, RunRequest,
 };
-pub use server::{serve_lines, serve_tcp, SchedMode, Server, ServerConfig};
+pub use server::{serve_lines, serve_tcp, Server, ServerConfig};
 pub use shard::{Shard, ShardRing};

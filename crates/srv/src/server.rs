@@ -1,29 +1,20 @@
 //! The request scheduler and its front-ends.
 //!
-//! Two scheduler modes share every queue, cache, and telemetry
-//! mechanism (selected by [`ServerConfig::sched`]):
+//! A fixed pool of workers (`SCTM_THREADS`, else all cores) pulls
+//! per-request *stage* tasks — probe → capture → replay → render — from
+//! per-worker deques with stealing ([`WorkStealPool`]). A worker
+//! finishing one stage pushes the request's next stage onto its own
+//! deque; idle workers steal the oldest queued stage from a peer. So the
+//! capture of request N overlaps the replay of request M and the
+//! response rendering of request K, and a sweep saturates every worker.
 //!
-//! - **[`SchedMode::WorkSteal`]** (default): a fixed pool of
-//!   `SCTM_THREADS` workers pulls per-request *stage* tasks — probe →
-//!   capture → replay → render — from per-worker deques with stealing
-//!   ([`WorkStealPool`]). A worker finishing one stage pushes the
-//!   request's next stage onto its own deque; idle workers steal the
-//!   oldest queued stage from a peer. So the capture of request N
-//!   overlaps the replay of request M and the response rendering of
-//!   request K, and a sweep saturates every worker instead of
-//!   serializing behind whole-batch barriers.
-//! - **[`SchedMode::Batch`]**: the original serial batch cycle — one
-//!   scheduler thread drains the queue and runs each batch on the
-//!   deterministic pool ([`par_map`]). Kept as the byte-identity
-//!   reference: `tests/srv_sched.rs` pins that both modes produce
-//!   identical `"result"` bytes at any worker count.
-//!
-//! Determinism does not depend on the mode: each request's result
-//! manifest is computed from simulated quantities only, and the
+//! Determinism does not depend on the worker count: each request's
+//! result manifest is computed from simulated quantities only, and the
 //! [`CaptureCache`] single-flight pending slots are the only
 //! cross-request synchronization — whichever request performs a capture
 //! produces the same bytes. Scheduling changes *when* work runs, never
-//! *what* it computes.
+//! *what* it computes; `tests/srv_sched.rs` pins every worker count to
+//! a direct `Experiment::execute`.
 //!
 //! In **shard mode** ([`Server::start_sharded`]) several `sctmd`
 //! processes partition the capture cache by consistent hashing over the
@@ -58,28 +49,16 @@ use crate::proto::{
 use crate::shard::Shard;
 use sctm_core::trace::TraceLog;
 use sctm_core::{Mode, SctmError};
-use sctm_engine::par::{par_map, service_threads, WorkStealPool, WorkerHandle};
+use sctm_engine::par::{service_threads, WorkStealPool, WorkerHandle};
 use sctm_engine::stats::Histogram;
-use sctm_obs::reqlog::{json_line, RequestLog};
+use sctm_obs::reqlog::{json_line, quoted, RequestLog};
 use sctm_obs::svc::{SvcCounter, SvcPhase, SvcStats, SVC_STATS_VERSION};
-use sctm_obs::{json_escape, span, ConvergenceVerdict, Manifest};
+use sctm_obs::{span, ConvergenceVerdict, Manifest};
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime};
-
-/// How the server turns queued requests into running work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedMode {
-    /// One scheduler thread drains the queue and runs whole batches on
-    /// the deterministic pool. The original cycle; capture, replay, and
-    /// response I/O of different batches serialize.
-    Batch,
-    /// Stage-pipelined work-stealing pool: per-request probe → capture
-    /// → replay → render tasks on per-worker deques with stealing.
-    WorkSteal,
-}
 
 /// Service knobs. All bounds are hard: the queue never exceeds
 /// `queue_cap` and the cache evicts past `cache_bytes`.
@@ -96,12 +75,6 @@ pub struct ServerConfig {
     /// Scheduler worker count; `0` resolves via
     /// [`service_threads`] (`SCTM_THREADS`, else all cores).
     pub workers: usize,
-    /// Scheduler mode; [`SchedMode::WorkSteal`] unless pinned.
-    pub sched: SchedMode,
-    /// Idle-flush read timeout for [`serve_tcp`] connections, in
-    /// milliseconds: how often an idle connection wakes to flush
-    /// completed responses to lockstep clients.
-    pub read_timeout_ms: u64,
 }
 
 impl Default for ServerConfig {
@@ -112,8 +85,6 @@ impl Default for ServerConfig {
             default_timeout_ms: 300_000,
             retry_after_ms: 50,
             workers: 0,
-            sched: SchedMode::WorkSteal,
-            read_timeout_ms: 25,
         }
     }
 }
@@ -133,12 +104,12 @@ struct QueueState {
     jobs: VecDeque<Job>,
     draining: bool,
     /// Accepted requests not yet answered (queued + in flight). Drain
-    /// in work-steal mode waits for this to hit zero so every accepted
-    /// request is answered before the pool stops.
+    /// waits for this to hit zero so every accepted request is answered
+    /// before the pool stops.
     outstanding: usize,
 }
 
-/// The four work-steal pipeline stages, in flow order. Indices key the
+/// The four pipeline stages, in flow order. Indices key the
 /// `srv.sched.queue.<stage>` depth gauges.
 const STAGE_NAMES: [&str; 4] = ["probe", "capture", "replay", "render"];
 const STAGE_PROBE: usize = 0;
@@ -171,7 +142,8 @@ struct Shared {
     cfg: ServerConfig,
     cache: CaptureCache,
     queue: Mutex<QueueState>,
-    jobs_ready: Condvar,
+    /// Signalled whenever `outstanding` drops; `drain` waits on it.
+    answered: Condvar,
     svc: SvcStats,
     log: Option<Arc<RequestLog>>,
     next_seq: AtomicU64,
@@ -229,16 +201,10 @@ impl Shared {
     }
 }
 
-fn quoted(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
-}
-
-/// A running batch-simulation service. Dropping it drains gracefully.
+/// A running simulation service. Dropping it drains gracefully.
 pub struct Server {
     shared: Arc<Shared>,
-    /// Batch mode: the scheduler thread. `None` in work-steal mode.
-    scheduler: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Work-steal mode: the stage pool. `None` in batch mode.
+    /// The stage pool; `None` once drained.
     pool: Mutex<Option<WorkStealPool>>,
 }
 
@@ -265,7 +231,7 @@ impl Server {
             cache: CaptureCache::new(cfg.cache_bytes),
             cfg,
             queue: Mutex::new(QueueState::default()),
-            jobs_ready: Condvar::new(),
+            answered: Condvar::new(),
             svc: SvcStats::new(),
             log,
             next_seq: AtomicU64::new(1),
@@ -274,28 +240,14 @@ impl Server {
             shard_counters: ShardCounters::default(),
             stage_depth: Default::default(),
         });
-        let (scheduler, pool) = match cfg.sched {
-            SchedMode::Batch => {
-                let worker = Arc::clone(&shared);
-                let scheduler = std::thread::Builder::new()
-                    .name("sctmd-scheduler".into())
-                    .spawn(move || scheduler_loop(&worker))
-                    .expect("spawn scheduler thread");
-                (Some(scheduler), None)
-            }
-            SchedMode::WorkSteal => {
-                let workers = if cfg.workers > 0 {
-                    cfg.workers
-                } else {
-                    service_threads()
-                };
-                (None, Some(WorkStealPool::new(workers)))
-            }
+        let workers = if cfg.workers > 0 {
+            cfg.workers
+        } else {
+            service_threads()
         };
         Server {
             shared,
-            scheduler: Mutex::new(scheduler),
-            pool: Mutex::new(pool),
+            pool: Mutex::new(Some(WorkStealPool::new(workers))),
         }
     }
 
@@ -350,16 +302,13 @@ impl Server {
         });
         q.outstanding += 1;
         let depth = q.jobs.len() as u64;
-        // Work-steal mode: hand the pool one probe task per accepted
-        // job, while still holding the queue lock so a concurrent
-        // drain cannot stop the pool between accept and dispatch.
-        if self.shared.cfg.sched == SchedMode::WorkSteal {
-            self.dispatch_probe();
-        }
+        // Hand the pool one probe task per accepted job, while still
+        // holding the queue lock so a concurrent drain cannot stop the
+        // pool between accept and dispatch.
+        self.dispatch_probe();
         drop(q);
         self.shared.svc.incr(SvcCounter::Accepted);
         self.shared.svc.note_queue_depth(depth);
-        self.shared.jobs_ready.notify_all();
         Ok(rx)
     }
 
@@ -479,8 +428,8 @@ impl Server {
             m.metrics
                 .hist_merge("srv.conv.iterations", &conv.iterations);
         }
-        // Scheduler occupancy: live pool counters in work-steal mode,
-        // zeros in batch mode — the schema never depends on the mode.
+        // Scheduler occupancy: live pool counters, zeros once drained —
+        // the schema never depends on the pool's state.
         let ps = lock(&self.pool)
             .as_ref()
             .map(|p| p.stats())
@@ -529,28 +478,19 @@ impl Server {
     }
 
     /// Graceful drain: refuse new submissions, finish everything
-    /// queued, then stop the scheduler. Idempotent.
+    /// queued, then stop the pool. Idempotent.
     pub fn drain(&self) {
-        {
-            let mut q = lock(&self.shared.queue);
-            q.draining = true;
-        }
-        self.shared.jobs_ready.notify_all();
-        // Batch mode: the scheduler thread drains the queue then exits.
-        let handle = lock(&self.scheduler).take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-        // Work-steal mode: every accepted request holds an
-        // `outstanding` tick until its reply is sent; wait for zero,
-        // then stop the pool (its Drop finishes queued tasks first).
+        lock(&self.shared.queue).draining = true;
+        // Every accepted request holds an `outstanding` tick until its
+        // reply is sent; wait for zero, then stop the pool (its Drop
+        // finishes queued tasks first).
         let pool = lock(&self.pool).take();
         if let Some(pool) = pool {
             let mut q = lock(&self.shared.queue);
             while q.outstanding > 0 {
                 q = self
                     .shared
-                    .jobs_ready
+                    .answered
                     .wait(q)
                     .unwrap_or_else(|e| e.into_inner());
             }
@@ -566,51 +506,8 @@ impl Drop for Server {
     }
 }
 
-fn scheduler_loop(shared: &Arc<Shared>) {
-    loop {
-        let batch: Vec<Job> = {
-            let mut q = lock(&shared.queue);
-            while q.jobs.is_empty() && !q.draining {
-                q = shared.jobs_ready.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-            if q.jobs.is_empty() {
-                return; // draining and empty: done
-            }
-            q.jobs.drain(..).collect()
-        };
-
-        let now = Instant::now();
-        let mut live = Vec::with_capacity(batch.len());
-        for job in batch {
-            match job.deadline {
-                Some(d) if d <= now => finish_timeout(shared, job, now),
-                _ => live.push(job),
-            }
-        }
-
-        // The batch runs on the deterministic pool: results land in
-        // input order and are bit-identical to serial execution, so
-        // concurrency never changes an answer.
-        let jobs: Vec<_> = live
-            .into_iter()
-            .map(|job| {
-                let shared = Arc::clone(shared);
-                move || {
-                    let start = Instant::now();
-                    let queue_us = us(start.duration_since(job.enqueued));
-                    shared.svc.enter();
-                    let done = run_job(&shared, &job.req);
-                    shared.svc.exit();
-                    finish_job(&shared, job, queue_us, done);
-                }
-            })
-            .collect();
-        par_map(jobs);
-    }
-}
-
 /// Answer a request whose queue deadline expired before it ran, with
-/// full telemetry. Shared by both scheduler modes.
+/// full telemetry.
 fn finish_timeout(shared: &Shared, job: Job, now: Instant) {
     let waited = now.duration_since(job.enqueued);
     shared.svc.incr(SvcCounter::TimedOut);
@@ -633,14 +530,12 @@ fn finish_timeout(shared: &Shared, job: Job, now: Instant) {
 }
 
 /// Fold one finished request into counters, conv rollup, phase
-/// histograms, and the request log, and send its reply. Shared by both
-/// scheduler modes; the counter-before-reply ordering is the `stats`
-/// read-your-writes contract.
+/// histograms, and the request log, and send its reply.
 fn finish_job(shared: &Shared, job: Job, queue_us: u64, done: JobDone) {
-    // Counters land before the reply: a client that polls `stats`
-    // after receiving its answer always sees itself counted (the
-    // channel send/recv pair orders the relaxed stores for the
-    // receiver).
+    // Counters, the conv rollup and the request-log line land before
+    // the reply: a client that reads its answer and then polls `stats`
+    // or reads the log always sees itself (the channel send/recv pair
+    // orders the relaxed stores for the receiver).
     let svc = &shared.svc;
     svc.incr(SvcCounter::Completed);
     match done.cache {
@@ -653,23 +548,12 @@ fn finish_job(shared: &Shared, job: Job, queue_us: u64, done: JobDone) {
             svc.incr(SvcCounter::BudgetExhausted);
         }
     }
-    // Conv rollup lands before the reply for the same reason the
-    // counters above do: a client polling `stats` after its answer
-    // sees itself counted.
     if let Some(v) = done.verdict {
         let mut conv = lock(&shared.conv);
         *conv.runs.entry(v).or_insert(0) += 1;
         conv.iterations.record(done.conv_iterations);
     }
-    let respond0 = Instant::now();
-    let _ = job.reply.send(done.line);
-    let respond_us = us(respond0.elapsed());
     let total_us = us(job.enqueued.elapsed());
-    svc.record_us(SvcPhase::Queue, queue_us);
-    svc.record_us(SvcPhase::CacheProbe, done.probe_us);
-    svc.record_us(SvcPhase::Execute, done.execute_us);
-    svc.record_us(SvcPhase::Respond, respond_us);
-    svc.record_us(SvcPhase::Total, total_us);
 
     let mut fields: Vec<(&str, String)> = vec![
         ("id", quoted(&job.req.id)),
@@ -696,9 +580,16 @@ fn finish_job(shared: &Shared, job: Job, queue_us: u64, done: JobDone) {
     fields.push(("queue_us", queue_us.to_string()));
     fields.push(("probe_us", done.probe_us.to_string()));
     fields.push(("execute_us", done.execute_us.to_string()));
-    fields.push(("respond_us", respond_us.to_string()));
     fields.push(("total_us", total_us.to_string()));
     shared.log_event(job.seq, &fields);
+
+    let respond0 = Instant::now();
+    let _ = job.reply.send(done.line);
+    svc.record_us(SvcPhase::Queue, queue_us);
+    svc.record_us(SvcPhase::CacheProbe, done.probe_us);
+    svc.record_us(SvcPhase::Execute, done.execute_us);
+    svc.record_us(SvcPhase::Respond, us(respond0.elapsed()));
+    svc.record_us(SvcPhase::Total, total_us);
     note_answered(shared);
 }
 
@@ -708,7 +599,7 @@ fn note_answered(shared: &Shared) {
     let mut q = lock(&shared.queue);
     q.outstanding = q.outstanding.saturating_sub(1);
     drop(q);
-    shared.jobs_ready.notify_all();
+    shared.answered.notify_all();
 }
 
 /// What one executed request produced, response line plus the
@@ -770,111 +661,13 @@ fn produce_capture(
     Ok(e.capture())
 }
 
-/// Execute one request, satisfying trace-mode captures from the cache.
-fn run_job(shared: &Shared, req: &RunRequest) -> JobDone {
-    let wall0 = Instant::now();
-    let e = &req.experiment;
-    let traceless = matches!(req.spec.mode, Mode::ExecutionDriven | Mode::Online { .. });
-    let (outcome, cache, key_prefix, probe_us, mut execute_us) = if traceless {
-        let _g = span("svc", "execute");
-        let x0 = Instant::now();
-        let outcome = e.execute(&req.spec);
-        (outcome, CacheOutcome::Bypass, None, 0, us(x0.elapsed()))
-    } else {
-        let key = CaptureKey::new(e.kernel.label(), e.system.side, e.ops_per_core, e.seed);
-        let key_prefix = Some(format!("{:08x}", key.0 >> 32));
-        let mut capture = Duration::ZERO;
-        let probe0 = Instant::now();
-        let fetched = {
-            let _g = span("svc", "cache_probe");
-            shared.cache.try_get_or_capture(key, || {
-                let c0 = Instant::now();
-                let t = produce_capture(shared, e, &req.id, key);
-                capture = c0.elapsed();
-                t
-            })
-        };
-        let (log, hit) = match fetched {
-            Ok(x) => x,
-            Err(err) => {
-                // A failed capture (in practice: a failed forward) is a
-                // typed error for this request; the pending slot was
-                // released so the next request retries.
-                return JobDone {
-                    line: error_response(&req.id, &err),
-                    cache: CacheOutcome::Miss,
-                    key_prefix,
-                    error_kind: Some(error_kind(&err)),
-                    probe_us: us(probe0.elapsed().saturating_sub(capture)),
-                    execute_us: us(capture),
-                    verdict: None,
-                    conv_iterations: 0,
-                };
-            }
-        };
-        // Probe time is cache resolution only; the capture a miss
-        // triggers is execution work and accounted there.
-        let probe = probe0.elapsed().saturating_sub(capture);
-        let cache = if hit {
-            CacheOutcome::Hit
-        } else {
-            CacheOutcome::Miss
-        };
-        let x0 = Instant::now();
-        let outcome = {
-            let _g = span("svc", "execute");
-            e.execute_seeded(&req.spec, Some(&log))
-        };
-        (
-            outcome,
-            cache,
-            key_prefix,
-            us(probe),
-            us(capture + x0.elapsed()),
-        )
-    };
-    match outcome {
-        Ok(out) => {
-            let line = ok_response(
-                &req.id,
-                wall0.elapsed().as_nanos(),
-                cache,
-                &result_json(&out.report, e),
-            );
-            // Rendering the manifest is execution work too.
-            execute_us = us(wall0.elapsed());
-            JobDone {
-                line,
-                cache,
-                key_prefix,
-                error_kind: None,
-                probe_us,
-                execute_us,
-                verdict: out.report.verdict.map(|v| v.label()),
-                conv_iterations: out.report.iterations.as_ref().map_or(0, |v| v.len() as u64),
-            }
-        }
-        Err(err) => JobDone {
-            line: error_response(&req.id, &err),
-            cache,
-            key_prefix,
-            error_kind: Some(error_kind(&err)),
-            probe_us,
-            execute_us,
-            verdict: None,
-            conv_iterations: 0,
-        },
-    }
-}
-
-/// Per-request state threaded through the work-steal stage pipeline.
+/// Per-request state threaded through the stage pipeline.
 /// Built at probe, completed at render; each stage hands it to the
 /// next via the worker's own deque.
 struct StageCtx {
     job: Job,
     queue_us: u64,
-    /// When the probe stage began — the staged analogue of batch
-    /// `run_job`'s wall clock zero.
+    /// When the probe stage began: the zero of the reply's `wall_ns`.
     started: Instant,
     probe_us: u64,
     /// Accumulated simulation work so far (capture/forward, replay).
@@ -980,8 +773,7 @@ fn stage_capture(shared: &Arc<Shared>, h: &WorkerHandle<'_>, mut ctx: StageCtx) 
         })
     };
     // Resolution (including any single-flight wait) counts as probe
-    // time; the production itself is execution work — same accounting
-    // as the batch path.
+    // time; the production itself is execution work.
     ctx.probe_us += us(c0.elapsed().saturating_sub(produce_time));
     ctx.execute_us += us(produce_time);
     match fetched {
@@ -1046,7 +838,7 @@ fn stage_render(shared: &Arc<Shared>, ctx: StageCtx) {
             cache,
             key_prefix,
             error_kind: None,
-            // Rendering counts as execution work, as in the batch path.
+            // Rendering counts as execution work.
             probe_us,
             execute_us: us(started.elapsed()),
             verdict: out.report.verdict.map(|v| v.label()),
@@ -1067,10 +859,21 @@ fn stage_render(shared: &Arc<Shared>, ctx: StageCtx) {
     finish_job(shared, job, queue_us, done);
 }
 
-/// A response owed to the client, in request order.
-enum Pending {
-    Ready(String),
-    Waiting(mpsc::Receiver<String>),
+/// One reply owed to the client. The reader queues slots in request
+/// order; the writer resolves them one by one.
+enum Slot {
+    /// Rendered at parse time: protocol errors, `busy`, `ping`.
+    Line(String),
+    /// A submitted run; its line arrives when the pool finishes it.
+    Run(mpsc::Receiver<String>),
+    /// Control verbs, rendered when their turn comes so they observe
+    /// every earlier run on the connection.
+    Stats,
+    Metrics,
+    Fwd(Box<FwdRequest>),
+    Shutdown,
+    /// One-shot HTTP scrape (the request line); ends the connection.
+    Http(String),
 }
 
 fn recv_line(rx: &mpsc::Receiver<String>) -> String {
@@ -1093,152 +896,114 @@ fn stats_line(server: &Server) -> String {
 /// line per request to `writer` **in request order**. Returns `true`
 /// when the stream asked for shutdown.
 ///
-/// Run responses are buffered so consecutive `run` lines schedule as
-/// one parallel batch; completed head-of-line responses stream out as
-/// soon as they are ready, and control verbs (`ping`, `stats`,
-/// `metrics`, `shutdown`) flush everything still owed first, so their
-/// answers observe all preceding runs. The `metrics` response is the
-/// one multi-line answer: Prometheus text terminated by a `# EOF` line.
-///
-/// A reader that times out (`WouldBlock`/`TimedOut`, e.g. a `TcpStream`
-/// with a read timeout) is treated as *idle*, not dead: completed
-/// responses are flushed and the read retried, so a lockstep client —
-/// one request, wait for the answer — gets its response without having
-/// to send another byte. Bytes of a partially received line survive
-/// the retry.
+/// The calling thread reads, parses and submits; a scoped writer
+/// thread blocks on each owed reply in turn and writes and flushes it
+/// the moment it lands. So a lockstep client — one request, wait for
+/// the answer — is served as soon as its run finishes, while a
+/// pipelining client keeps the pool busy with everything it has sent.
+/// Control verbs (`stats`, `metrics`, `fwd`, `shutdown`) are answered
+/// when their turn comes, after every earlier reply, so their answers
+/// observe all preceding runs. The `metrics` response is the one
+/// multi-line answer: Prometheus text terminated by a `# EOF` line.
 ///
 /// A line starting with `GET ` switches the connection to one-shot
 /// HTTP: `GET /metrics` and `GET /stats` answer with an `HTTP/1.0`
 /// response and close, so standard Prometheus scrapers can poll the
 /// same TCP port the line protocol lives on.
-pub fn serve_lines<R: BufRead, W: Write>(
+pub fn serve_lines<R: BufRead, W: Write + Send>(
     reader: R,
     writer: &mut W,
     server: &Server,
 ) -> std::io::Result<bool> {
-    let mut pending: VecDeque<Pending> = VecDeque::new();
+    let (slots, owed) = mpsc::channel();
+    std::thread::scope(|s| {
+        let out = s.spawn(move || write_replies(owed, writer, server));
+        let read = read_requests(reader, slots, server);
+        let wrote = out
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        let shutdown = read?;
+        wrote.map(|()| shutdown)
+    })
+}
 
-    let flush_all = |pending: &mut VecDeque<Pending>, writer: &mut W| -> std::io::Result<()> {
-        while let Some(p) = pending.pop_front() {
-            let line = match p {
-                Pending::Ready(line) => line,
-                Pending::Waiting(rx) => recv_line(&rx),
-            };
-            writeln!(writer, "{line}")?;
-        }
-        writer.flush()
-    };
-    let flush_ready = |pending: &mut VecDeque<Pending>, writer: &mut W| -> std::io::Result<()> {
-        let mut wrote = false;
-        loop {
-            match pending.front() {
-                Some(Pending::Ready(_)) => {
-                    if let Some(Pending::Ready(line)) = pending.pop_front() {
-                        writeln!(writer, "{line}")?;
-                        wrote = true;
-                    }
-                }
-                Some(Pending::Waiting(rx)) => match rx.try_recv() {
-                    Ok(line) => {
-                        pending.pop_front();
-                        writeln!(writer, "{line}")?;
-                        wrote = true;
-                    }
-                    Err(_) => break,
-                },
-                None => break,
-            }
-        }
-        if wrote {
-            writer.flush()?;
-        }
-        Ok(())
-    };
-
-    let idle = |e: &std::io::Error| {
-        matches!(
-            e.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        )
-    };
-    let mut reader = reader;
+/// The reader half of [`serve_lines`]: turn each request line into a
+/// reply slot. Stops at EOF, `shutdown`, an HTTP request, or once the
+/// writer has gone away.
+fn read_requests<R: BufRead>(
+    mut reader: R,
+    slots: mpsc::Sender<Slot>,
+    server: &Server,
+) -> std::io::Result<bool> {
     let mut buf = String::new();
     loop {
-        // `read_line` appends whatever arrived before a timeout, so a
-        // half-received request accumulates in `buf` across retries.
-        match reader.read_line(&mut buf) {
-            Ok(0) => break, // EOF
-            Ok(_) => {}
-            Err(e) if idle(&e) => {
-                flush_ready(&mut pending, writer)?;
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+        buf.clear();
+        if reader.read_line(&mut buf)? == 0 {
+            return Ok(false); // EOF
         }
-        let owned = std::mem::take(&mut buf);
-        let line = owned.trim_end_matches(['\r', '\n']);
+        let line = buf.trim_end_matches(['\r', '\n']);
         if line.trim().is_empty() {
             continue;
         }
-        if line.starts_with("GET ") {
+        let slot = if line.starts_with("GET ") {
             // One-shot HTTP scrape; drain the request headers first.
             let mut hdr = String::new();
-            loop {
-                match reader.read_line(&mut hdr) {
-                    Ok(0) => break,
-                    Ok(_) if hdr.trim().is_empty() => break,
-                    Ok(_) => hdr.clear(),
-                    Err(e) if idle(&e) || e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                }
+            while reader.read_line(&mut hdr)? > 0 && !hdr.trim().is_empty() {
+                hdr.clear();
             }
-            flush_all(&mut pending, writer)?;
-            return serve_http_get(line, writer, server).map(|()| false);
+            Slot::Http(line.to_string())
+        } else {
+            match parse_request(line) {
+                Err(err) => Slot::Line(error_response("", &err)),
+                Ok(Request::Run(req)) => match server.submit(*req) {
+                    Ok(rx) => Slot::Run(rx),
+                    Err(line) => Slot::Line(line),
+                },
+                Ok(Request::Fwd(freq)) => Slot::Fwd(freq),
+                Ok(Request::Ping) => Slot::Line(r#"{"status":"ok","pong":true}"#.into()),
+                Ok(Request::Stats) => Slot::Stats,
+                Ok(Request::Metrics) => Slot::Metrics,
+                Ok(Request::Shutdown) => Slot::Shutdown,
+            }
+        };
+        let shutdown = matches!(slot, Slot::Shutdown);
+        let last = shutdown || matches!(slot, Slot::Http(_));
+        if slots.send(slot).is_err() || last {
+            return Ok(shutdown);
         }
-        match parse_request(line) {
-            Err(err) => pending.push_back(Pending::Ready(error_response("", &err))),
-            Ok(Request::Run(req)) => match server.submit(*req) {
-                Ok(rx) => pending.push_back(Pending::Waiting(rx)),
-                Err(line) => pending.push_back(Pending::Ready(line)),
-            },
-            Ok(Request::Fwd(freq)) => {
-                // Peer capture fetch: answered inline on this
-                // connection thread (it may block in the owner's
-                // single-flight, never on a scheduler worker).
-                flush_all(&mut pending, writer)?;
-                writeln!(writer, "{}", server.handle_fwd(&freq))?;
-                writer.flush()?;
-            }
-            Ok(Request::Ping) => {
-                flush_all(&mut pending, writer)?;
-                writeln!(writer, r#"{{"status":"ok","pong":true}}"#)?;
-                writer.flush()?;
-            }
-            Ok(Request::Stats) => {
-                flush_all(&mut pending, writer)?;
+    }
+}
+
+/// The writer half of [`serve_lines`]: answer each slot in order,
+/// flushing every reply as soon as it is written.
+fn write_replies<W: Write>(
+    owed: mpsc::Receiver<Slot>,
+    writer: &mut W,
+    server: &Server,
+) -> std::io::Result<()> {
+    for slot in owed {
+        match slot {
+            Slot::Line(line) => writeln!(writer, "{line}")?,
+            Slot::Run(rx) => writeln!(writer, "{}", recv_line(&rx))?,
+            Slot::Stats => {
                 server.shared.svc.incr(SvcCounter::StatsServed);
                 writeln!(writer, "{}", stats_line(server))?;
-                writer.flush()?;
             }
-            Ok(Request::Metrics) => {
-                flush_all(&mut pending, writer)?;
+            Slot::Metrics => {
                 server.shared.svc.incr(SvcCounter::MetricsServed);
                 writer.write_all(server.prometheus_text().as_bytes())?;
                 writeln!(writer, "# EOF")?;
-                writer.flush()?;
             }
-            Ok(Request::Shutdown) => {
-                flush_all(&mut pending, writer)?;
-                writeln!(writer, r#"{{"status":"ok","shutting_down":true}}"#)?;
-                writer.flush()?;
-                return Ok(true);
-            }
+            // Peer capture fetch: answered on this connection's writer
+            // (it may block in the owner's single-flight, never on a
+            // scheduler worker).
+            Slot::Fwd(freq) => writeln!(writer, "{}", server.handle_fwd(&freq))?,
+            Slot::Shutdown => writeln!(writer, r#"{{"status":"ok","shutting_down":true}}"#)?,
+            Slot::Http(request_line) => serve_http_get(&request_line, writer, server)?,
         }
-        flush_ready(&mut pending, writer)?;
+        writer.flush()?;
     }
-    flush_all(&mut pending, writer)?;
-    Ok(false)
+    Ok(())
 }
 
 /// Answer one HTTP GET (`/metrics`, `/stats`) and close. HTTP/1.0 +
@@ -1292,13 +1057,6 @@ fn serve_http_get<W: Write>(
 pub fn serve_tcp(listener: std::net::TcpListener, server: Server) -> std::io::Result<()> {
     use std::sync::atomic::AtomicBool;
     listener.set_nonblocking(true)?;
-    // The receive timeout makes `serve_lines` wake up and flush
-    // completed responses to lockstep clients while the connection is
-    // otherwise idle. Configurable (`--read-timeout-ms` /
-    // `SCTM_READ_TIMEOUT_MS`): slower wakeups trade response latency
-    // for idle wakeup rate; 0 is clamped to 1 ms because a `None`
-    // timeout would never flush.
-    let read_timeout = Duration::from_millis(server.config().read_timeout_ms.max(1));
     let server = Arc::new(server);
     let stop = Arc::new(AtomicBool::new(false));
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
@@ -1309,13 +1067,16 @@ pub fn serve_tcp(listener: std::net::TcpListener, server: Server) -> std::io::Re
                 let stop = Arc::clone(&stop);
                 conns.push(std::thread::spawn(move || {
                     stream.set_nonblocking(false).ok();
-                    stream.set_read_timeout(Some(read_timeout)).ok();
+                    // Each reply leaves in one buffered write plus one
+                    // flush; without nodelay that segment would wait on
+                    // the client's delayed ACK of the previous one.
+                    stream.set_nodelay(true).ok();
                     let Ok(read_half) = stream.try_clone() else {
                         return;
                     };
-                    let mut write_half = stream;
                     let reader = std::io::BufReader::new(read_half);
-                    if let Ok(true) = serve_lines(reader, &mut write_half, &server) {
+                    let mut writer = std::io::BufWriter::new(stream);
+                    if let Ok(true) = serve_lines(reader, &mut writer, &server) {
                         stop.store(true, Ordering::SeqCst);
                     }
                 }));

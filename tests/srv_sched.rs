@@ -1,18 +1,18 @@
 //! Determinism contract of the work-stealing scheduler and the sharded
-//! multi-instance cache: the staged steal pipeline must answer
-//! byte-identically to the serial batch cycle at any worker count, a
-//! two-instance shard must answer byte-identically to a single instance
-//! while capturing each workload exactly once *cluster-wide*, and the
-//! configurable idle-flush read timeout must keep serving lockstep
-//! clients at non-default values.
+//! multi-instance cache: the staged pipeline must answer
+//! byte-identically at any worker count, with every `"result"` equal
+//! to a direct `Experiment::execute`; a two-instance shard must answer
+//! byte-identically to a single instance while capturing each workload
+//! exactly once *cluster-wide*; and a lockstep client whose connection
+//! stays open must get each reply without sending another byte.
 //!
 //! Responses are compared whole, after masking the one wall-clock field
 //! (`wall_ns`) a scheduler may legitimately change.
 
 use sctm_client::Client;
 use sctm_srv::{
-    parse_request, serve_tcp, Request, RunRequest, SchedMode, Server, ServerConfig, Shard,
-    ShardRing,
+    parse_request, result_json, serve_lines, serve_tcp, Request, RunRequest, Server, ServerConfig,
+    Shard, ShardRing,
 };
 
 fn run_req(line: &str) -> RunRequest {
@@ -65,7 +65,7 @@ fn answers(server: &Server) -> Vec<String> {
     // also pins response *ordering* under the steal scheduler.
     let text = format!("{}\n", script().join("\n"));
     let mut out = Vec::new();
-    sctm_srv::serve_lines(text.as_bytes(), &mut out, server).expect("serve");
+    serve_lines(text.as_bytes(), &mut out, server).expect("serve");
     server.drain();
     String::from_utf8(out)
         .unwrap()
@@ -75,9 +75,9 @@ fn answers(server: &Server) -> Vec<String> {
 }
 
 #[test]
-fn steal_answers_byte_identical_to_batch_at_1_4_8_workers() {
+fn any_worker_count_answers_byte_identically_and_matches_direct_execute() {
     let reference = answers(&Server::start(ServerConfig {
-        sched: SchedMode::Batch,
+        workers: 1,
         ..ServerConfig::default()
     }));
     assert!(
@@ -88,26 +88,34 @@ fn steal_answers_byte_identical_to_batch_at_1_4_8_workers() {
         reference.iter().any(|l| l.contains(r#""status":"error""#)),
         "script never errors — weak test"
     );
-    for workers in [1usize, 4, 8] {
+    // Every answer that carries a result equals the library path with
+    // no service in between.
+    for (line, answer) in script().iter().zip(&reference) {
+        let Ok(Request::Run(req)) = parse_request(line) else {
+            assert!(answer.contains(r#""status":"error""#), "{answer}");
+            continue;
+        };
+        let direct = req.experiment.execute(&req.spec).expect("execute").report;
+        let want = format!(r#""result":{}}}"#, result_json(&direct, &req.experiment));
+        let at = answer
+            .find(r#""result":"#)
+            .unwrap_or_else(|| panic!("no result object in {answer}"));
+        assert_eq!(&answer[at..], want, "{line}");
+    }
+    for workers in [4usize, 8] {
         let got = answers(&Server::start(ServerConfig {
-            sched: SchedMode::WorkSteal,
             workers,
             ..ServerConfig::default()
         }));
-        assert_eq!(
-            got, reference,
-            "steal scheduler with {workers} workers diverged from batch"
-        );
+        assert_eq!(got, reference, "{workers} workers diverged from 1 worker");
     }
 }
 
 #[test]
 fn steal_keeps_the_one_capture_per_sweep_economics() {
     // The §P5 invariant under the staged pipeline: 50 configs over one
-    // workload still cost exactly one capture, with the same counter
-    // trail the batch path produces.
+    // workload still cost exactly one capture.
     let server = Server::start(ServerConfig {
-        sched: SchedMode::WorkSteal,
         workers: 4,
         ..ServerConfig::default()
     });
@@ -127,19 +135,6 @@ fn steal_keeps_the_one_capture_per_sweep_economics() {
     }
     let stats = server.cache_stats();
     assert_eq!((stats.misses, stats.hits), (1, 49), "{stats:?}");
-}
-
-/// Boot a TCP daemon on an OS-assigned port, sharded over `peers` when
-/// non-empty. Returns the bound address and the daemon thread.
-fn boot_tcp(
-    cfg: ServerConfig,
-    ring: Option<ShardRing>,
-) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().unwrap().to_string();
-    let server = Server::start_sharded(cfg, ring.map(Shard::new), None);
-    let daemon = std::thread::spawn(move || serve_tcp(listener, server));
-    (addr, daemon)
 }
 
 fn stats_counter(doc: &str, name: &str) -> u64 {
@@ -252,53 +247,46 @@ fn two_instance_shard_captures_once_cluster_wide_and_matches_single() {
 }
 
 #[test]
-fn lockstep_client_is_served_at_a_non_default_read_timeout() {
+fn reply_arrives_while_the_request_stream_stays_open() {
     use std::io::{BufRead, BufReader, Write};
-    // 120 ms idle-flush timeout (default is 25): a lockstep client that
-    // sends one request and then goes silent must still receive each
-    // response — the idle wakeup, not further input, flushes it.
-    let (addr, daemon) = boot_tcp(
-        ServerConfig {
-            read_timeout_ms: 120,
-            ..ServerConfig::default()
-        },
-        None,
-    );
-    let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
-    let mut reader = BufReader::new(conn.try_clone().unwrap());
-    let mut first = String::new();
-    for round in 0..3 {
-        let started = std::time::Instant::now();
-        writeln!(
-            conn,
-            "run kernel=fft net=omesh side=2 ops=150 mode=classic-trace id=l{round}"
-        )
-        .expect("send");
-        conn.flush().expect("flush");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read response");
-        assert!(line.starts_with(r#"{"status":"ok""#), "{line}");
-        assert!(line.contains(&format!(r#""id":"l{round}""#)), "{line}");
-        // Lockstep latency is bounded by work + one idle-flush period;
-        // generous ceiling so slow CI cannot flake this.
-        assert!(
-            started.elapsed() < std::time::Duration::from_secs(30),
-            "round {round} stalled"
-        );
-        if round == 0 {
-            first = mask_wall(&line);
-        } else {
-            // Warm rounds replay the same workload: identical answers.
-            let warm = mask_wall(&line).replace(&format!(r#""id":"l{round}""#), r#""id":"l0""#);
-            assert_eq!(
-                warm.replace(r#""cache":"hit""#, r#""cache":"miss""#),
-                first.replace(r#""cache":"hit""#, r#""cache":"miss""#),
-            );
+    // A lockstep client sends one request and then waits with its
+    // stream still open: the reply must arrive without further input,
+    // while the reader half of `serve_lines` stays blocked in
+    // `read_line`. Detached threads, so a missing reply fails the test
+    // at the guard instead of hanging it.
+    let (rx, mut tx) = std::io::pipe().expect("pipe");
+    let (out_rx, mut out_tx) = std::io::pipe().expect("pipe");
+    let daemon = std::thread::spawn(move || {
+        let server = Server::start(ServerConfig::default());
+        serve_lines(BufReader::new(rx), &mut out_tx, &server)
+    });
+    writeln!(
+        tx,
+        "run kernel=fft net=omesh side=2 ops=150 mode=classic-trace id=o1"
+    )
+    .expect("send");
+    let (got_tx, got_rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut replies = BufReader::new(out_rx);
+        for _ in 0..2 {
+            let mut line = String::new();
+            replies.read_line(&mut line).expect("read reply");
+            got_tx.send(line).expect("report");
         }
-    }
-    writeln!(conn, "shutdown").expect("send shutdown");
-    let mut ack = String::new();
-    reader.read_line(&mut ack).expect("read ack");
+    });
+    let guard = std::time::Duration::from_secs(30);
+    let line = got_rx
+        .recv_timeout(guard)
+        .expect("no reply within 30 s while the request stream stayed open");
+    assert!(line.starts_with(r#"{"status":"ok""#), "{line}");
+    assert!(line.contains(r#""id":"o1""#), "{line}");
+    // Only now does the stream move on.
+    writeln!(tx, "shutdown").expect("send shutdown");
+    let ack = got_rx.recv_timeout(guard).expect("no shutdown ack");
     assert!(ack.contains(r#""shutting_down":true"#), "{ack}");
-    daemon.join().unwrap().expect("daemon io");
+    assert!(
+        daemon.join().unwrap().expect("serve"),
+        "shutdown verb not honoured"
+    );
+    client.join().unwrap();
 }
